@@ -517,9 +517,9 @@ register_experiment(
 def _run_check_entry(
     engine: "Engine | None" = None, loops: int = 200, latency: int = 6
 ) -> object:
-    # Imported lazily, like validate's: repro.check drives the pipeline.
-    # The engine is unused for the same reason -- proofs must come from
-    # evaluating this build, never from cached results.
+    # Imported lazily, like validate's: repro.check drives the batch
+    # chain.  The engine is unused -- proofs must come from evaluating
+    # this build, never from cached results.
     from repro.check import run_static_validation
 
     return run_static_validation(n_loops=loops, latency=latency)

@@ -233,10 +233,11 @@ def run_bench(
             seconds, points = _timed(_simulate, repeats)
         record("simulate", seconds, points)
     if "check" in scenarios:
-        # The static gate's hot path: prove every suite point's schedule
-        # and allocation analytically, cold (fresh store per repeat) --
-        # this is the cost of running the prover on 100% of the grid,
-        # the number that justifies static-always where sim samples.
+        # The static gate's hot path: walk every suite loop's batch chain
+        # and prove each grid point's witness analytically, cold (fresh
+        # chains per repeat) -- the cost of running the prover on 100%
+        # of the grid, the number that justifies static-always where sim
+        # samples.
         # Imported lazily: repro.check rides the validate layering.
         from repro.check import run_static_validation
 

@@ -7,19 +7,21 @@ proofs:
   dependence legality, resource consistency, allocation soundness, and
   spill/traffic accounting analytically, in O(ops + edges);
 * :mod:`repro.check.coverage` runs that proof over 100% of the suite
-  grid (the dynamic simulator gate stays sampled);
+  grid, on the batch chain's own exit states (the dynamic simulator gate
+  stays sampled);
 * :mod:`repro.check.lint` turns the same discipline on the codebase
   itself: AST rules pinning the determinism, immutability, and
   concurrency invariants the engine cache and fingerprints rely on.
 
-Layering: ``check`` imports only core/ir/sched/regalloc/spill/pipeline.
-It must never import :mod:`repro.validate` -- validate imports check.
+Layering: the prover imports only core/ir/sched/regalloc/spill/machine,
+never ``kernel``; the coverage module adds kernel.batch (the chain whose
+outputs it proves), pipeline and workloads.  ``check`` must never import
+:mod:`repro.validate` -- validate imports check.
 """
 
 from repro.check.coverage import (
     CHECK_MODELS,
     StaticValidation,
-    check_grid_point,
     run_static_validation,
 )
 from repro.check.invariants import (
@@ -38,6 +40,5 @@ __all__ = [
     "StaticValidation",
     "allocation_of",
     "check_evaluation",
-    "check_grid_point",
     "run_static_validation",
 ]

@@ -34,6 +34,12 @@ and the dict reference by the differential suite
 (``tests/properties/test_batch_differential.py``, ``tests/engine/test_batch.py``);
 the chain is the same state machine, traversed once instead of per point.
 
+The same walk also yields *witnesses* (:meth:`LoopChain.witness`): the
+exit state lifted back to a :class:`~repro.spill.spiller.LoopEvaluation`
+with its final graph, schedule and allocation, so the static gate
+(:mod:`repro.check.coverage`) proves the chain's own outputs instead of a
+parallel per-point re-evaluation.
+
 This module deliberately knows nothing about engine jobs: grouping (by the
 same content fingerprints that key the pipeline ``ArtifactStore``) and the
 result dataclasses live in :mod:`repro.engine.jobs`.
@@ -46,6 +52,7 @@ from dataclasses import dataclass
 from repro.core.models import Model
 from repro.core.swapping import SwapEstimator
 from repro.ir.ddg import DependenceGraph
+from repro.ir.loop import Loop
 from repro.ir.operation import OpType
 from repro.kernel import dual as kdual
 from repro.kernel import modulo as kmodulo
@@ -54,8 +61,11 @@ from repro.kernel.lifetimes import lifetime_bounds, live_profile_spans
 from repro.kernel.loop import LoopArrays, lower_loop
 from repro.kernel.swap import greedy_swap_search
 from repro.machine.config import MachineConfig
+from repro.pipeline.context import ArtifactStore
 from repro.pipeline.policies import get_escalation
-from repro.sched.modulo import SchedulingFailure
+from repro.sched.modulo import SchedulingFailure, _materialize
+from repro.sched.schedule import Schedule
+from repro.spill.spiller import LoopEvaluation, spill_value
 
 #: Victim policies with an array-native implementation below.  Custom
 #: registered policies are arbitrary Python objects interrogating Schedule
@@ -244,6 +254,7 @@ class _Node:
     __slots__ = (
         "chain",
         "min_ii",
+        "victims",
         "mem_ops",
         "spill_ops",
         "is_spill",
@@ -273,9 +284,13 @@ class _Node:
         la: LoopArrays | None = None,
         mii: int | None = None,
         extra: list[tuple[int, int, int, int]] | None = None,
+        victims: tuple[int, ...] = (),
     ) -> None:
         self.chain = chain
         self.min_ii = min_ii
+        #: Op ids spilled, in order, on the way from the root to this node:
+        #: replaying them on the root graph rebuilds this node's graph.
+        self.victims = victims
         #: Memory/spill op counts per iteration, maintained incrementally:
         #: one spill adds one store plus one load per distinct (consumer,
         #: distance), all of them spill memory ops.
@@ -570,6 +585,7 @@ class _Node:
                 machine.latency_of(OpType.LOAD),
             )
             added = 1 + n_loads
+            victim_id = la.ids[la.values[self.victim]]
             self._spill_child = _Node(
                 self.chain,
                 self.min_ii,
@@ -579,6 +595,7 @@ class _Node:
                 self.is_spill_store + [True] + [False] * n_loads,
                 la=child_la,
                 extra=child_extra,
+                victims=self.victims + (victim_id,),
             )
         return self._spill_child
 
@@ -595,6 +612,7 @@ class _Node:
                 la=self._la,
                 mii=self._mii,
                 extra=self._extra,
+                victims=self.victims,
             )
         return self._esc_child
 
@@ -628,6 +646,26 @@ class BatchEvaluation:
     registers: int
 
 
+class WitnessError(RuntimeError):
+    """A materialized witness disagrees with the walk it was lifted from.
+
+    Carries the same coordinates a static-check ``Finding`` does (message,
+    expected, observed) plus the exit node's II, so the static gate can
+    report the disagreement as a disproved point with a reproducer.
+    """
+
+    def __init__(
+        self, message: str, expected: object, observed: object, ii: int
+    ) -> None:
+        super().__init__(
+            f"{message} (expected {expected!r}, observed {observed!r})"
+        )
+        self.message = message
+        self.expected = expected
+        self.observed = observed
+        self.ii = ii
+
+
 class LoopChain:
     """The shared spill chain of one (graph, machine, knobs) job group."""
 
@@ -650,6 +688,8 @@ class LoopChain:
         self.policy = victim_policy
         self.strategy = pressure_strategy
         self.escalation = get_escalation(ii_escalation)
+        self._lifted: dict[tuple[tuple[int, ...], int], Schedule] = {}
+        self._witness_store = ArtifactStore()
         memory = graph.memory_operations()
         ops = graph.operations
         self.root = _Node(
@@ -680,11 +720,36 @@ class LoopChain:
         estimator: SwapEstimator,
         max_rounds: int = 200,
     ) -> BatchEvaluation:
+        """The exit state of one (model, budget) walk, as plain integers."""
+        node, registers, spilled, ii_increases, fits = self._walk(
+            model, register_budget, estimator, max_rounds
+        )
+        return BatchEvaluation(
+            ii=node.ii,
+            mii=self.root.mii,
+            spilled_values=spilled,
+            ii_increases=ii_increases,
+            fits=fits,
+            memory_ops=node.mem_ops,
+            spill_ops=node.spill_ops,
+            registers=registers,
+        )
+
+    def _walk(
+        self,
+        model: Model,
+        register_budget: int | None,
+        estimator: SwapEstimator,
+        max_rounds: int,
+    ) -> tuple[_Node, int, int, int, bool]:
         """Walk the chain exactly as the Section 5.4 pass loop would.
 
         The walk carries only the model-dependent bookkeeping (plateau
         counters and the halt test); states and transitions come from the
         shared chain, so the Nth point of a sweep traverses memoized nodes.
+        Returns ``(exit node, registers, spilled, ii_increases, fits)``;
+        the exit node is the last *measured* state, which under the round
+        cap may sit one transition before the final spill or escalation.
         """
         budget = None if model is Model.IDEAL else register_budget
         select_victims = self.strategy == "spill"
@@ -740,16 +805,83 @@ class LoopChain:
             registers = last.requirement(model, estimator)
         if not halted:
             fits = budget is None or registers <= budget
-        return BatchEvaluation(
-            ii=last.ii,
+        return last, registers, spilled, ii_increases, fits
+
+    def witness(
+        self,
+        model: Model,
+        register_budget: int | None,
+        estimator: SwapEstimator,
+        max_rounds: int = 200,
+        *,
+        loop: Loop,
+    ) -> LoopEvaluation:
+        """The exit state of one walk, lifted to a full ``LoopEvaluation``.
+
+        Same walk as :meth:`evaluate`; the exit node is then materialized:
+        its graph rebuilt by replaying ``spill_value`` of the node's victims
+        on the root graph, its ``(times, instances, ii)`` lifted into a
+        :class:`Schedule`, and its allocation produced by
+        :meth:`ArtifactStore.requirement` on that schedule.  Walk counters
+        (MII, spills, II increases, verdict) are stamped on unchanged.
+
+        ``loop`` is the reported loop (name, trip count); it must carry the
+        chain's graph, against which the proofs count pre-existing spills
+        and recompute the MII.  Raises :class:`WitnessError` when the
+        rebuilt graph's op ids differ from the exit node's arrays, or the
+        materialized register count differs from the one the walk decided
+        on.
+        """
+        node, registers, spilled, ii_increases, fits = self._walk(
+            model, register_budget, estimator, max_rounds
+        )
+        # (victims, min II) names a chain state exactly, so it keys the
+        # lifted schedules and this chain's private artifact store.
+        key = (node.victims, node.min_ii)
+        schedule = self._lifted.get(key)
+        if schedule is None:
+            schedule = self._lifted[key] = self._lift(node)
+        requirement = self._witness_store.requirement(
+            schedule, key, model, estimator
+        )
+        if requirement.registers != registers:
+            raise WitnessError(
+                f"{self.name}: materialized {model.value} allocation "
+                f"disagrees with the walk's register count",
+                expected=registers,
+                observed=requirement.registers,
+                ii=node.ii,
+            )
+        return LoopEvaluation(
+            loop=loop,
+            machine=self.machine,
+            model=model,
+            register_budget=register_budget,
+            schedule=schedule,
+            requirement=requirement,
             mii=self.root.mii,
             spilled_values=spilled,
             ii_increases=ii_increases,
             fits=fits,
-            memory_ops=last.mem_ops,
-            spill_ops=last.spill_ops,
-            registers=registers,
         )
+
+    def _lift(self, node: _Node) -> Schedule:
+        """Rebuild ``node``'s graph and lift its schedule arrays onto it."""
+        graph = self.graph
+        for victim in node.victims:
+            graph = spill_value(graph, victim)
+        la = node.la
+        rebuilt = [op.op_id for op in graph.operations]
+        if rebuilt != la.ids:
+            raise WitnessError(
+                f"{self.name}: graph rebuilt from {len(node.victims)} "
+                f"spill(s) disagrees with the chain's op ids",
+                expected=la.ids,
+                observed=rebuilt,
+                ii=node.ii,
+            )
+        times, insts, ii = node.sched
+        return Schedule(graph, self.machine, ii, _materialize(la, times, insts))
 
 
 __all__ = [
@@ -757,6 +889,7 @@ __all__ = [
     "BatchEvaluation",
     "BatchPressure",
     "LoopChain",
+    "WitnessError",
     "array_mii",
     "supports",
 ]

@@ -81,7 +81,8 @@ def modulo_schedule(
     arrays = kernel.lower_loop(graph, machine) if kernel.kernels_enabled() else None
     while ii <= max_ii:
         if arrays is not None:
-            placements = _materialize(arrays, kmodulo.attempt(arrays, ii, budget_factor))
+            attempt = kmodulo.attempt(arrays, ii, budget_factor)
+            placements = None if attempt is None else _materialize(arrays, *attempt)
         else:
             placements = _attempt(graph, machine, ii, budget_factor)
         if placements is not None:
@@ -95,13 +96,9 @@ def modulo_schedule(
 
 
 def _materialize(
-    arrays: "kernel.LoopArrays",
-    attempt: tuple[list[int], list[int]] | None,
-) -> dict[int, Placement] | None:
+    arrays: "kernel.LoopArrays", times: list[int], instances: list[int]
+) -> dict[int, Placement]:
     """Lift a successful array attempt back to the boundary dataclasses."""
-    if attempt is None:
-        return None
-    times, instances = attempt
     pool_names = arrays.ma.names
     return {
         op_id: Placement(

@@ -2,9 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+from repro.api.types import LoopSpec
 from repro.check import CHECK_MODELS, run_static_validation
 from repro.core.models import Model
-from repro.workloads.kernels import all_kernels
+from repro.pipeline.fingerprint import graph_fingerprint
+from repro.workloads.kernels import all_kernels, make_kernel
+from repro.workloads.suite import perfect_club_like
+
+
+def _same_loop(a, b) -> bool:
+    return (
+        a.name == b.name
+        and a.trip_count == b.trip_count
+        and graph_fingerprint(a.graph) == graph_fingerprint(b.graph)
+    )
 
 
 def test_small_grid_proves_everything():
@@ -53,3 +66,37 @@ def test_reproducers_round_trip_the_wire_shape():
         assert loop_spec["n_loops"] == 2
         assert point.reproducer["machine"]["kind"] == "paper"
         assert point.reproducer["static"] is True
+
+
+def test_generated_suite_reproducers_resolve_to_their_loops():
+    result = run_static_validation(n_loops=3, models=((Model.IDEAL, None),))
+    suite = list(perfect_club_like(3))
+    for point, loop in zip(result.points, suite):
+        spec = LoopSpec.from_dict(point.reproducer["loop"])
+        assert _same_loop(spec.resolve(), loop)
+
+
+def test_explicit_kernel_reproducers_resolve_to_their_loops():
+    """Hand-written kernels passed explicitly are named as kernels, not
+    as the suite loop that happens to sit at their position."""
+    kernels = [make_kernel("daxpy"), make_kernel("iccg")]
+    result = run_static_validation(
+        loops=kernels, models=((Model.UNIFIED, 32),)
+    )
+    assert result.ok, result.format()
+    for point, loop in zip(result.points, kernels):
+        assert point.reproducer["loop"]["kind"] == "kernel"
+        spec = LoopSpec.from_dict(point.reproducer["loop"])
+        assert _same_loop(spec.resolve(), loop)
+
+
+def test_altered_kernel_is_not_named_as_the_kernel():
+    """A loop reusing a kernel's name with a different body must not be
+    reproduced as that kernel."""
+    loop = dataclasses.replace(
+        make_kernel("daxpy"), graph=make_kernel("iccg").graph
+    )
+    result = run_static_validation(
+        loops=[loop], models=((Model.UNIFIED, 32),)
+    )
+    assert result.points[0].reproducer["loop"] == {"name": "daxpy"}

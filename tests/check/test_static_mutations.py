@@ -8,7 +8,10 @@ the schedule/allocation structures alone, with actionable coordinates.
 Each test corrupts a real artifact through the
 :func:`repro.check.invariants.allocation_of` seam -- the evaluation's
 claims stay untouched, so the verifier's independent re-derivation is
-what detects the lie.
+what detects the lie.  The batch-path tests at the end corrupt
+:meth:`repro.kernel.batch.LoopChain.witness` outputs -- the points the
+static gate actually proves -- and the chain itself, where the witness
+consistency checks must turn the disagreement into a finding.
 """
 
 from __future__ import annotations
@@ -17,15 +20,18 @@ import dataclasses
 
 import pytest
 
-from repro.check import check_evaluation
+from repro.check import check_evaluation, run_static_validation
 from repro.check import invariants
-from repro.check.invariants import allocation_of
+from repro.check.invariants import allocation_of, rebuild_lifetimes
 from repro.core.models import Model
+from repro.core.swapping import SwapEstimator
 from repro.ir.operation import OpType
+from repro.kernel import batch as kbatch
 from repro.machine.config import paper_config
+from repro.sched.mii import edge_delay
 from repro.pipeline.pipelines import run_evaluation
 from repro.regalloc.firstfit import AllocationResult, PlacedLifetime, first_fit
-from repro.workloads.kernels import all_kernels
+from repro.workloads.kernels import all_kernels, make_kernel
 
 SEAM = "repro.check.invariants.allocation_of"
 
@@ -199,3 +205,121 @@ def test_mutation_seam_is_module_level(monkeypatch):
     sentinel = object()
     monkeypatch.setattr(SEAM, lambda _ev: sentinel)
     assert invariants.allocation_of(None) is sentinel
+
+
+# ----------------------------------------------------------------------
+# Batch-path witnesses: the points the static gate proves
+# ----------------------------------------------------------------------
+def _witness(loop, machine, model, budget):
+    chain = kbatch.LoopChain(loop.graph, machine)
+    return chain.witness(model, budget, SwapEstimator.MAXLIVE, loop=loop)
+
+
+def test_clean_witnesses_are_proved(loop, machine):
+    for model, budget in (
+        (Model.UNIFIED, 6),
+        (Model.PARTITIONED, 16),
+        (Model.SWAPPED, 16),
+    ):
+        check = check_evaluation(_witness(loop, machine, model, budget))
+        assert check.ok, check.describe()
+
+
+def test_witness_shift_clobber_is_caught(loop, machine, monkeypatch):
+    """A spilled batch witness whose register shifts are flattened."""
+    evaluation = _witness(loop, machine, Model.UNIFIED, 6)
+    assert evaluation.spilled_values > 0, "budget must force spills"
+    schedule, allocation = allocation_of(evaluation)
+    flattened = AllocationResult(
+        allocation.result.ii,
+        {
+            op_id: PlacedLifetime(placed.lifetime, 0, placed.ii)
+            for op_id, placed in allocation.result.placements.items()
+        },
+    )
+    corrupted = dataclasses.replace(allocation, result=flattened)
+    monkeypatch.setattr(SEAM, lambda _ev: (schedule, corrupted))
+
+    check = check_evaluation(evaluation)
+    assert not check.ok
+    overlaps = [f for f in check.findings if f.kind == "allocation"]
+    assert overlaps, check.describe()
+    assert overlaps[0].op is not None
+
+
+def test_witness_placement_shifted_one_cycle_is_caught(
+    loop, machine, monkeypatch
+):
+    """One op of a dual-file witness issued a cycle early across a tight
+    dependence: the edge is violated and the allocated lifetimes no
+    longer match the schedule."""
+    evaluation = _witness(loop, machine, Model.PARTITIONED, 16)
+    schedule, allocation = allocation_of(evaluation)
+    graph = schedule.graph
+    tight = next(
+        edge
+        for edge in graph.edges()
+        if schedule.time_of(edge.dst)
+        - schedule.time_of(edge.src)
+        + schedule.ii * edge.distance
+        == edge_delay(edge, graph, machine)
+        and schedule.time_of(edge.dst) > 0
+        and edge.src != edge.dst
+    )
+    placements = dict(schedule.placements)
+    moved = placements[tight.dst]
+    placements[tight.dst] = dataclasses.replace(moved, time=moved.time - 1)
+    shifted = dataclasses.replace(schedule, placements=placements)
+    assert rebuild_lifetimes(shifted) != rebuild_lifetimes(schedule)
+    monkeypatch.setattr(SEAM, lambda _ev: (shifted, allocation))
+
+    check = check_evaluation(evaluation)
+    assert not check.ok
+    violated = [f for f in check.findings if f.kind == "dependence"]
+    assert violated, check.describe()
+    assert graph.op(tight.dst).name in violated[0].op
+    assert any(f.kind == "lifetime" for f in check.findings)
+
+
+def test_walk_register_disagreement_is_a_finding(monkeypatch):
+    """A chain node whose exact requirement is off by one: the witness
+    materializes the true allocation, disagrees with the walk, and the
+    static gate reports a disproved point instead of crashing."""
+    exact = kbatch._Node.requirement
+    monkeypatch.setattr(
+        kbatch._Node,
+        "requirement",
+        lambda node, model, estimator: exact(node, model, estimator) + 1,
+    )
+    result = run_static_validation(
+        loops=[make_kernel("daxpy")], models=((Model.UNIFIED, 32),)
+    )
+    assert not result.ok
+    (point,) = result.failures
+    (finding,) = point.findings
+    assert finding.kind == "witness"
+    assert finding.observed == finding.expected - 1
+    assert point.reproducer["loop"] == {
+        "type": "loop",
+        "kind": "kernel",
+        "name": "daxpy",
+    }
+    assert point.reproducer["static"] is True
+    assert "reproduce:" in point.describe()
+
+
+def test_rebuilt_graph_disagreement_is_a_finding(monkeypatch):
+    """Spill replay that does not reproduce the chain's op ids (here: a
+    spill rewrite that silently does nothing) is caught on spilled points
+    only."""
+    monkeypatch.setattr(kbatch, "spill_value", lambda graph, _op: graph)
+    result = run_static_validation(
+        loops=[make_kernel("daxpy")],
+        models=((Model.IDEAL, None), (Model.UNIFIED, 6)),
+    )
+    ideal, spilled = result.points
+    assert ideal.ok, ideal.describe()
+    assert not spilled.ok
+    (finding,) = spilled.findings
+    assert finding.kind == "witness"
+    assert "op ids" in finding.message
